@@ -7,7 +7,7 @@
 use fbdr_dit::{Modification, UpdateOp};
 use fbdr_ldap::{Filter, SearchRequest, SortKey};
 use fbdr_replica::FilterReplica;
-use fbdr_resync::SyncMaster;
+use fbdr_resync::{SyncDriver, SyncMaster};
 use fbdr_workload::{DirectoryConfig, EnterpriseDirectory};
 use std::fmt::Write as _;
 
@@ -241,7 +241,7 @@ impl Shell {
     }
 
     fn cmd_sync(&mut self) -> String {
-        match self.replica.sync(&mut self.master) {
+        match self.replica.sync_with(&mut self.master, &mut SyncDriver::default()) {
             Ok(t) => format!(
                 "synced: {} full entries, {} DN-only PDUs, {} bytes",
                 t.full_entries, t.dn_only, t.bytes

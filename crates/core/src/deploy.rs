@@ -14,8 +14,9 @@
 //! Neither node wraps its replica in an exclusive lock on the read path:
 //! `FilterReplica` answers from immutable content snapshots, so
 //! [`ReplicaNode::handle_search`](DirectoryService::handle_search) runs
-//! concurrently on any number of client threads, even while
-//! [`ReplicaNode::sync_with`] is mid-cycle on another.
+//! concurrently on any number of client threads, even while a
+//! [`FilterReplica::sync_with`] cycle on [`ReplicaNode::replica`] is
+//! mid-way on another.
 //!
 //! ```
 //! use fbdr_core::deploy::ReplicaNode;
@@ -64,10 +65,8 @@
 use fbdr_dit::DitStore;
 use fbdr_net::{DirectoryService, ServerOutcome};
 use fbdr_replica::{FilterReplica, SubtreeReplica};
-use fbdr_resync::{
-    Clock, ShardCoordinator, SyncDriver, SyncError, SyncTraffic, SyncTransport, SystemClock,
-};
-use parking_lot::{Mutex, RwLock};
+use fbdr_resync::SyncTraffic;
+use parking_lot::RwLock;
 
 /// A filter-based replica addressable as a directory node: local answers
 /// for contained queries, a default referral to the master otherwise.
@@ -103,22 +102,6 @@ impl ReplicaNode {
         self.replica.stats()
     }
 
-    /// Resynchronizes the deployed replica in place, through a retrying
-    /// driver (see [`FilterReplica::sync_with`]): the node keeps serving
-    /// — possibly stale — content while the cycle runs, and transport
-    /// outages degrade to staleness instead of failing the node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-transient [`SyncError`]s.
-    pub fn sync_with<C: Clock>(
-        &self,
-        transport: &mut dyn SyncTransport,
-        driver: &mut SyncDriver<C>,
-    ) -> Result<SyncTraffic, SyncError> {
-        self.replica.sync_with(transport, driver)
-    }
-
     /// Consumes the node, returning the replica.
     pub fn into_replica(self) -> FilterReplica {
         self.replica
@@ -126,91 +109,6 @@ impl ReplicaNode {
 }
 
 impl DirectoryService for ReplicaNode {
-    fn url(&self) -> &str {
-        &self.url
-    }
-
-    fn handle_search(&self, req: &fbdr_ldap::SearchRequest) -> ServerOutcome {
-        match self.replica.try_answer(req) {
-            Some(entries) => ServerOutcome::Results { entries, continuations: Vec::new() },
-            None => ServerOutcome::DefaultReferral(self.master_url.clone()),
-        }
-    }
-}
-
-/// A filter-based replica deployed against a *sharded* master: the node
-/// owns a [`ShardCoordinator`] whose per-shard drivers track retry and
-/// reconcile state independently, so one slow or partitioned shard
-/// degrades only the filters overlapping it.
-///
-/// The read path is identical to [`ReplicaNode`] — lock-free snapshot
-/// answers, default referral on a miss. Only the coordinator sits behind
-/// a [`Mutex`], taken for the duration of an install or sync cycle.
-#[derive(Debug)]
-pub struct ShardedReplicaNode {
-    url: String,
-    replica: FilterReplica,
-    coordinator: Mutex<ShardCoordinator<SystemClock>>,
-    master_url: String,
-}
-
-impl ShardedReplicaNode {
-    /// Wraps a replica and its shard coordinator as a network node
-    /// referring misses to `master_url`.
-    pub fn new(
-        url: impl Into<String>,
-        replica: FilterReplica,
-        coordinator: ShardCoordinator<SystemClock>,
-        master_url: impl Into<String>,
-    ) -> Self {
-        ShardedReplicaNode {
-            url: url.into(),
-            replica,
-            coordinator: Mutex::new(coordinator),
-            master_url: master_url.into(),
-        }
-    }
-
-    /// The underlying replica (all of whose operations take `&self`).
-    pub fn replica(&self) -> &FilterReplica {
-        &self.replica
-    }
-
-    /// Loads a filter through the coordinator, opening one session on
-    /// every shard the filter's region overlaps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates install failures; partially opened shard sessions are
-    /// abandoned by the coordinator before the error surfaces.
-    pub fn install_filter(
-        &self,
-        transport: &mut dyn SyncTransport,
-        request: fbdr_ldap::SearchRequest,
-    ) -> Result<SyncTraffic, SyncError> {
-        self.replica.install_filter_sharded(transport, &mut self.coordinator.lock(), request)
-    }
-
-    /// Resynchronizes every filter across all overlapped shards (see
-    /// [`FilterReplica::sync_with_sharded`]): the node keeps serving —
-    /// possibly stale — content while the cycle runs, and a failing shard
-    /// marks only the filters it backs stale.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first non-transient [`SyncError`], after the merged
-    /// epoch has been published.
-    pub fn sync_with(&self, transport: &mut dyn SyncTransport) -> Result<SyncTraffic, SyncError> {
-        self.replica.sync_with_sharded(transport, &mut self.coordinator.lock())
-    }
-
-    /// Aggregate driver statistics across all shards.
-    pub fn driver_stats(&self) -> fbdr_resync::DriverStats {
-        self.coordinator.lock().stats()
-    }
-}
-
-impl DirectoryService for ShardedReplicaNode {
     fn url(&self) -> &str {
         &self.url
     }
@@ -363,8 +261,8 @@ mod tests {
                     .with("serialNumber", "040002"),
             ))
             .unwrap();
-        let mut driver = SyncDriver::default();
-        let t = node.sync_with(&mut master, &mut driver).unwrap();
+        let mut driver = fbdr_resync::SyncDriver::default();
+        let t = node.replica().sync_with(&mut master, &mut driver).unwrap();
         assert_eq!(t.full_entries, 1);
         assert_eq!(driver.stats().attempts, 1);
 
@@ -387,76 +285,6 @@ mod tests {
         }
         let node = net.server(replica_url).expect("node exists");
         assert_eq!(node.url(), replica_url);
-    }
-
-    #[test]
-    fn sharded_node_installs_syncs_and_serves() {
-        use fbdr_resync::{ShardCoordinator, ShardMap, ShardedMaster};
-
-        let map = ShardMap::by_suffixes(vec![
-            "c=g0,o=xyz".parse().unwrap(),
-            "c=g1,o=xyz".parse().unwrap(),
-        ]);
-        let mut master = ShardedMaster::new(map.clone());
-        for shard in map.shards() {
-            let dit = master.shard_mut(shard).dit_mut();
-            dit.add_suffix("o=xyz".parse().unwrap());
-            dit.add(Entry::new("o=xyz".parse().unwrap()).with("objectclass", "organization"))
-                .unwrap();
-        }
-        for g in 0..2 {
-            master
-                .apply(fbdr_dit::UpdateOp::Add(
-                    Entry::new(format!("c=g{g},o=xyz").parse().unwrap())
-                        .with("objectclass", "country"),
-                ))
-                .unwrap();
-        }
-        for i in 0..8 {
-            master
-                .apply(fbdr_dit::UpdateOp::Add(
-                    Entry::new(format!("cn=e{i},c=g{},o=xyz", i % 2).parse().unwrap())
-                        .with("objectclass", "person")
-                        .with("serialNumber", &format!("04{i:04}")),
-                ))
-                .unwrap();
-        }
-
-        let node = ShardedReplicaNode::new(
-            "ldap://replica",
-            FilterReplica::new(0),
-            ShardCoordinator::new(map),
-            "ldap://master",
-        );
-        node.install_filter(
-            &mut master,
-            SearchRequest::from_root(Filter::parse("(serialNumber=04*)").unwrap()),
-        )
-        .unwrap();
-
-        // Both shards contributed entries to the loaded filter.
-        let q = SearchRequest::from_root(Filter::parse("(serialNumber=04*)").unwrap());
-        match node.handle_search(&q) {
-            ServerOutcome::Results { entries, .. } => assert_eq!(entries.len(), 8),
-            other => panic!("expected local answer, got {other:?}"),
-        }
-
-        // An update lands on one shard and a sync cycle picks it up.
-        master
-            .apply(fbdr_dit::UpdateOp::Add(
-                Entry::new("cn=new,c=g1,o=xyz".parse().unwrap())
-                    .with("objectclass", "person")
-                    .with("serialNumber", "049999"),
-            ))
-            .unwrap();
-        let t = node.sync_with(&mut master).unwrap();
-        assert_eq!(t.full_entries, 1);
-        match node.handle_search(&q) {
-            ServerOutcome::Results { entries, .. } => assert_eq!(entries.len(), 9),
-            other => panic!("expected local answer, got {other:?}"),
-        }
-        // Two shard sessions opened at install plus two polled at sync.
-        assert_eq!(node.driver_stats().attempts, 4);
     }
 
     #[test]

@@ -45,4 +45,4 @@ pub mod experiment;
 
 mod replicator;
 
-pub use replicator::{Replicator, ReplicatorReport, ServedBy, ShardedReplicator};
+pub use replicator::{Replicator, ReplicatorReport, ServedBy};

@@ -5,8 +5,8 @@ use fbdr_dit::{ChangeRecord, DitError, UpdateOp};
 use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_replica::{FilterReplica, ReplicaStats};
 use fbdr_resync::{
-    DriverStats, NotifyFlush, NotifyPolicy, ReconcileConfig, RetryConfig, ShardCoordinator,
-    ShardId, ShardedMaster, SyncDriver, SyncError, SyncMaster, SyncTraffic, SystemClock,
+    DriverStats, NotifyFlush, NotifyPolicy, RetryConfig, SyncDriver, SyncError, SyncMaster,
+    SyncTraffic, SystemClock,
 };
 use fbdr_selection::{FilterSelector, OnlineReport, OnlineSelector};
 use serde::{Deserialize, Serialize};
@@ -231,140 +231,6 @@ impl Replicator {
     }
 }
 
-/// A filter replica bound to a **sharded** master deployment: the
-/// directory is partitioned across several master shards by naming
-/// context ([`ShardedMaster`]), and every stored filter holds one ReSync
-/// session per shard it overlaps, driven independently by a
-/// [`ShardCoordinator`].
-///
-/// The query interface mirrors [`Replicator`]; the sync cycle degrades
-/// per shard — a partitioned shard leaves that shard's slice stale while
-/// the others keep delivering updates.
-#[derive(Debug)]
-pub struct ShardedReplicator {
-    master: ShardedMaster,
-    replica: FilterReplica,
-    coordinator: ShardCoordinator<SystemClock>,
-    cache_misses: bool,
-    report: ReplicatorReport,
-}
-
-impl ShardedReplicator {
-    /// Creates a sharded replicator; `cache_window` as for
-    /// [`Replicator::new`]. The coordinator takes its shard map from the
-    /// master.
-    pub fn new(master: ShardedMaster, cache_window: usize) -> Self {
-        let coordinator = ShardCoordinator::new(master.map().clone());
-        ShardedReplicator {
-            master,
-            replica: FilterReplica::new(cache_window),
-            coordinator,
-            cache_misses: cache_window > 0,
-            report: ReplicatorReport::default(),
-        }
-    }
-
-    /// Overrides the per-shard retry and reconcile policies.
-    pub fn with_config(mut self, retry: RetryConfig, reconcile: ReconcileConfig) -> Self {
-        self.coordinator =
-            ShardCoordinator::with_config(self.master.map().clone(), retry, reconcile);
-        self
-    }
-
-    /// Sets every shard's persist-mode notification policy (see
-    /// [`Replicator::with_notify_policy`]).
-    pub fn with_notify_policy(mut self, policy: NotifyPolicy) -> Self {
-        self.master.set_notify_policy(policy);
-        self
-    }
-
-    /// Advances every shard's notification clock.
-    pub fn advance_to(&mut self, now_ms: u64) {
-        self.master.advance_to(now_ms);
-    }
-
-    /// Flushes due (or all, with `force`) coalesced persist-mode batches
-    /// across every shard, tagged with the owning [`ShardId`].
-    pub fn flush_notifications(&mut self, force: bool) -> Vec<(ShardId, NotifyFlush)> {
-        self.master.flush_notifications(force)
-    }
-
-    /// Read access to the sharded master.
-    pub fn master(&self) -> &ShardedMaster {
-        &self.master
-    }
-
-    /// Read access to the replica.
-    pub fn replica(&self) -> &FilterReplica {
-        &self.replica
-    }
-
-    /// Traffic report.
-    pub fn report(&self) -> ReplicatorReport {
-        self.report
-    }
-
-    /// Replica hit statistics.
-    pub fn stats(&self) -> ReplicaStats {
-        self.replica.stats()
-    }
-
-    /// Installs a generalized filter: one session per overlapped shard.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SyncError`] any shard produced.
-    pub fn install_filter(&mut self, request: SearchRequest) -> Result<SyncTraffic, SyncError> {
-        let t = self.replica.install_filter_sharded(
-            &mut self.master,
-            &mut self.coordinator,
-            request,
-        )?;
-        self.report.revolution_traffic.absorb(&t);
-        Ok(t)
-    }
-
-    /// Answers a query: locally when possible, otherwise fanned out
-    /// across the master shards (counting WAN traffic and, if enabled,
-    /// caching the result).
-    pub fn search(&mut self, query: &SearchRequest) -> (Vec<Entry>, ServedBy) {
-        if let Some(entries) = self.replica.try_answer(query) {
-            return (entries, ServedBy::Replica);
-        }
-        let entries = self.master.search(query);
-        self.report.wan_queries += 1;
-        self.report.wan_entries += entries.len() as u64;
-        if self.cache_misses {
-            self.replica.cache_query(query.clone(), &entries);
-        }
-        (entries, ServedBy::Master)
-    }
-
-    /// Applies an update at the shard owning its target DN.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DitError`] from the owning shard's store.
-    pub fn apply_update(&mut self, op: UpdateOp) -> Result<ChangeRecord, DitError> {
-        self.master.apply(op)
-    }
-
-    /// One sync cycle: every filter polls each overlapped shard through
-    /// its own retry/reconcile ladder (see
-    /// [`FilterReplica::sync_with_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// The first hard [`SyncError`] any shard produced; partial progress
-    /// is already published.
-    pub fn sync(&mut self) -> Result<SyncTraffic, SyncError> {
-        let t = self.replica.sync_with_sharded(&mut self.master, &mut self.coordinator)?;
-        self.report.resync_traffic.absorb(&t);
-        self.report.driver = self.coordinator.stats();
-        Ok(t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,72 +359,6 @@ mod tests {
         let (_, served) = r.search(&q("040003"));
         assert_eq!(served, ServedBy::Replica);
         assert_eq!(r.online_report().unwrap().steps, 2);
-    }
-
-    #[test]
-    fn sharded_replicator_syncs_across_shards() {
-        use fbdr_resync::{ShardId, ShardMap};
-
-        // Two shards: country g0 on shard 0, g1 on shard 1; each shard's
-        // master holds the skeleton plus its own country subtree.
-        let map = ShardMap::by_suffixes(vec![
-            "c=g0,o=xyz".parse().unwrap(),
-            "c=g1,o=xyz".parse().unwrap(),
-        ]);
-        let mut sharded = ShardedMaster::new(map);
-        for i in 0..2u16 {
-            let m = sharded.shard_mut(fbdr_resync::ShardId::new(i));
-            m.dit_mut().add_suffix("o=xyz".parse().unwrap());
-            m.dit_mut().add(Entry::new("o=xyz".parse().unwrap())).unwrap();
-            m.dit_mut()
-                .add(Entry::new(format!("c=g{i},o=xyz").parse().unwrap()))
-                .unwrap();
-        }
-        for i in 0..10 {
-            let cc = i % 2;
-            sharded
-                .apply(UpdateOp::Add(
-                    Entry::new(format!("cn=e{i},c=g{cc},o=xyz").parse().unwrap())
-                        .with("objectclass", "person")
-                        .with("serialNumber", &format!("04{:04}", i)),
-                ))
-                .unwrap();
-        }
-
-        let mut r = ShardedReplicator::new(sharded, 0);
-        r.install_filter(SearchRequest::from_root(Filter::parse("(serialNumber=040*)").unwrap()))
-            .unwrap();
-        // Both shards contributed content; hits answer locally.
-        let (es, served) = r.search(&q("040003"));
-        assert_eq!(served, ServedBy::Replica);
-        assert_eq!(es.len(), 1);
-
-        // Updates land on different shards; one sync picks up both.
-        r.apply_update(UpdateOp::Add(
-            Entry::new("cn=n0,c=g0,o=xyz".parse().unwrap())
-                .with("objectclass", "person")
-                .with("serialNumber", "040088"),
-        ))
-        .unwrap();
-        r.apply_update(UpdateOp::Add(
-            Entry::new("cn=n1,c=g1,o=xyz".parse().unwrap())
-                .with("objectclass", "person")
-                .with("serialNumber", "040099"),
-        ))
-        .unwrap();
-        assert_eq!(r.master().shard(ShardId::new(0)).ops_applied(), 6);
-        assert_eq!(r.master().shard(ShardId::new(1)).ops_applied(), 6);
-        let t = r.sync().unwrap();
-        assert_eq!(t.full_entries, 2);
-        let (es, served) = r.search(&q("040099"));
-        assert_eq!(served, ServedBy::Replica);
-        assert_eq!(es.len(), 1);
-        // A miss fans out across shards and merges.
-        let (es, served) = r.search(&SearchRequest::from_root(
-            Filter::parse("(objectclass=person)").unwrap(),
-        ));
-        assert_eq!(served, ServedBy::Master);
-        assert_eq!(es.len(), 12);
     }
 
     #[test]

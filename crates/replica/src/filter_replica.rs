@@ -24,9 +24,9 @@ use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_obs::{event, Counter, Histogram, Obs};
 use fbdr_resync::reconcile::entry_item_hash;
 use fbdr_resync::{
-    dn_key, entry_key, Clock, CompositeCookie, Cookie, DnInterner, NotifyBatch, ReSyncControl,
-    ReconcileItem, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardStatus, SyncAction,
-    SyncDriver, SyncError, SyncMaster, SyncTransport, SyncTraffic,
+    dn_key, entry_key, sync_shards, Clock, CompositeCookie, Cookie, DnInterner, NotifyBatch,
+    ReSyncControl, ReconcileItem, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardOutcome,
+    ShardStatus, SyncAction, SyncDriver, SyncError, SyncMaster, SyncTransport, SyncTraffic,
 };
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
@@ -184,7 +184,7 @@ impl Working {
 }
 
 /// One stored filter's held content sliced by shard ownership — the
-/// [`ShardContent`] view the coordinator reconciles/reinstalls against.
+/// [`ShardContent`] view a session step reconciles/reinstalls against.
 /// Ownership is decided by the shard map over each held entry's DN, so a
 /// shard's slice is exactly what that shard's master serves.
 struct WorkingShardContent<'a> {
@@ -233,20 +233,43 @@ impl ShardContent for WorkingShardContent<'_> {
 }
 
 /// Writer-side per-filter state that readers never touch: the ReSync
-/// session cookie and the optional persist-mode notification channel.
+/// session — one cookie per shard of the map the filter was installed
+/// under, an unsharded install being the one-shard case
+/// ([`ShardMap::single`]) — and the optional persist-mode notification
+/// channel.
 ///
 /// Invariant: `WriterState::sessions` is index-aligned with the current
 /// snapshot's `filters` — every mutator that adds/removes a filter updates
 /// both under the writer lock before publishing.
 #[derive(Debug)]
 struct FilterSession {
-    cookie: Option<Cookie>,
+    /// The shard map the cookies are keyed by; a sync cycle covers the
+    /// filters installed under its own map.
+    map: ShardMap,
+    cookie: CompositeCookie,
     /// Live notification channel for persist-mode filters.
     notifications: Option<Receiver<NotifyBatch>>,
-    /// Per-shard session cookies for filters installed against a sharded
-    /// master ([`FilterReplica::install_filter_sharded`]); `None` for
-    /// single-master filters.
-    composite: Option<CompositeCookie>,
+}
+
+/// The sessions of one filter stepped once: `(transport, request,
+/// cookies, held content) → per-shard outcomes`.
+type SessionStep<'a> = dyn FnMut(
+        &mut dyn SyncTransport,
+        &SearchRequest,
+        &mut CompositeCookie,
+        &dyn ShardContent,
+    ) -> Vec<ShardOutcome>
+    + 'a;
+
+impl FilterSession {
+    /// An unsharded session: the one-shard case.
+    fn unsharded(cookie: Option<Cookie>, notifications: Option<Receiver<NotifyBatch>>) -> Self {
+        FilterSession {
+            map: ShardMap::single(),
+            cookie: cookie.map(|c| vec![(ShardId::ZERO, c)].into()).unwrap_or_default(),
+            notifications,
+        }
+    }
 }
 
 /// All mutable bookkeeping, serialized behind one writer mutex.
@@ -550,7 +573,8 @@ impl FilterReplica {
         let mut w = self.writer.lock();
         let resp = master.resync(&request, ReSyncControl::poll(None))?;
         let traffic = resp.traffic();
-        self.install_loaded(&mut w, request, resp.cookie, None, &resp.actions);
+        let session = FilterSession::unsharded(resp.cookie, None);
+        self.install_loaded(&mut w, request, session, &resp.actions);
         Ok(traffic)
     }
 
@@ -571,7 +595,8 @@ impl FilterReplica {
         let mut w = self.writer.lock();
         let (resp, rx) = master.resync_persist(&request, None)?;
         let traffic = resp.traffic();
-        self.install_loaded(&mut w, request, resp.cookie, Some(rx), &resp.actions);
+        let session = FilterSession::unsharded(resp.cookie, Some(rx));
+        self.install_loaded(&mut w, request, session, &resp.actions);
         Ok(traffic)
     }
 
@@ -581,8 +606,7 @@ impl FilterReplica {
         &self,
         w: &mut WriterState,
         request: SearchRequest,
-        cookie: Option<Cookie>,
-        notifications: Option<Receiver<NotifyBatch>>,
+        session: FilterSession,
         actions: &[SyncAction],
     ) {
         let snap = self.snapshot();
@@ -595,7 +619,7 @@ impl FilterReplica {
         };
         self.timed_apply(&mut work, &mut w.refcount, &mut sf, actions);
         work.filters.push(Arc::new(sf));
-        w.sessions.push(FilterSession { cookie, notifications, composite: None });
+        w.sessions.push(session);
         self.publish(work.into_snapshot());
     }
 
@@ -606,8 +630,8 @@ impl FilterReplica {
     /// A filter whose notification channel has disconnected (master
     /// restart, dropped connection) degrades to cookie-based polling: the
     /// channel is discarded, `poll_fallbacks` is incremented, and the
-    /// next [`FilterReplica::sync`] picks the filter up incrementally via
-    /// its cookie.
+    /// next [`FilterReplica::sync_with`] picks the filter up incrementally
+    /// via its cookie.
     pub fn drain_notifications(&self) -> SyncTraffic {
         let mut w = self.writer.lock();
         let WriterState { sessions, refcount } = &mut *w;
@@ -647,9 +671,13 @@ impl FilterReplica {
     }
 
     /// Removes a generalized filter (revolution eviction), ending its sync
-    /// session and garbage-collecting entries no other stored query needs.
-    /// Returns true if the filter was present.
-    pub fn remove_filter(&self, master: &mut SyncMaster, request: &SearchRequest) -> bool {
+    /// session on every shard and garbage-collecting entries no other
+    /// stored query needs. Returns true if the filter was present.
+    pub fn remove_filter(
+        &self,
+        transport: &mut dyn SyncTransport,
+        request: &SearchRequest,
+    ) -> bool {
         let mut w = self.writer.lock();
         let snap = self.snapshot();
         let Some(pos) = snap.filters.iter().position(|s| s.prepared.request() == request) else {
@@ -658,8 +686,8 @@ impl FilterReplica {
         let mut work = Working::from_snapshot(&snap);
         let removed = work.filters.remove(pos);
         let session = w.sessions.remove(pos);
-        if let Some(c) = session.cookie {
-            master.abandon(c);
+        for (shard, c) in session.cookie.iter() {
+            transport.abandon_at(shard, c);
         }
         for &id in &removed.ids {
             unref(&mut work, &mut w.refcount, id);
@@ -668,13 +696,27 @@ impl FilterReplica {
         true
     }
 
-    /// Polls the master for every synchronized filter and applies the
-    /// updates. Returns the total resync traffic — component (i) of the
-    /// filter replica's update traffic (§7.3).
+    /// Polls the master for every filter installed through the unsharded
+    /// paths and applies the updates, through a retrying [`SyncDriver`].
+    /// Returns the total resync traffic — component (i) of the filter
+    /// replica's update traffic (§7.3).
     ///
-    /// When the master has expired a session (its §5.2 admin time limit),
-    /// the filter recovers automatically: a fresh session is established
-    /// and the content reloaded from scratch (stale entries are dropped).
+    /// Each filter takes one session step ([`SyncDriver::sync_session`]),
+    /// the recovery ladder every sync path shares:
+    ///
+    /// - a transient failure that exhausts the driver's retry/time budget
+    ///   marks the filter **stale** and moves on — the content keeps being
+    ///   served (availability over freshness; hits are counted in
+    ///   [`ReplicaStats::stale_serves`]) and the next cycle retries;
+    /// - a lost session (expired at the master by its §5.2 admin time
+    ///   limit, or a replay past its window) is **reconciled**: the
+    ///   replica digests its held items and receives only what actually
+    ///   diverged, re-establishing a live cookie at divergence-proportional
+    ///   cost. Only a *known* divergence above the driver's
+    ///   [`ReconcileConfig::divergence_budget`](fbdr_resync::ReconcileConfig),
+    ///   or a failed exchange, falls back to a full **reinstall**;
+    /// - any other error also marks the filter stale, keeps its cookie,
+    ///   and the cycle carries on with the other filters.
     ///
     /// The whole cycle publishes as **one** new epoch, so concurrent
     /// readers see either the pre-cycle or the post-cycle content, never
@@ -682,235 +724,15 @@ impl FilterReplica {
     ///
     /// # Errors
     ///
-    /// Propagates other [`SyncError`]s; filters synced before the failure
-    /// keep their updates (the partial cycle is published before the error
-    /// returns).
-    pub fn sync(&self, master: &mut SyncMaster) -> Result<SyncTraffic, SyncError> {
-        let mut w = self.writer.lock();
-        let WriterState { sessions, refcount } = &mut *w;
-        let snap = self.snapshot();
-        let mut work = Working::from_snapshot(&snap);
-        let mut total = SyncTraffic::default();
-        let mut failed: Option<SyncError> = None;
-        for i in 0..work.filters.len() {
-            let request = work.filters[i].prepared.request().clone();
-            let session = &mut sessions[i];
-            let resp = match master.resync(&request, ReSyncControl::poll(session.cookie)) {
-                Ok(resp) => resp,
-                Err(e) if e.needs_reinstall() => {
-                    // Session expired at the master (its §5.2 admin time
-                    // limit) or a lost batch is past replay: start over
-                    // with a full reload of this filter's content. (The
-                    // driver-based `sync_with` tries the cheaper
-                    // reconciliation rung first.)
-                    if matches!(e, SyncError::ReplayExpired { .. }) {
-                        // The session still exists at the master.
-                        if let Some(c) = session.cookie {
-                            master.abandon(c);
-                        }
-                    }
-                    match master.resync(&request, ReSyncControl::poll(None)) {
-                        Ok(resp) => {
-                            drop_filter_content(&mut work, refcount, i);
-                            resp
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            };
-            session.cookie = resp.cookie;
-            total.absorb(&resp.traffic());
-            let mut sf = (*work.filters[i]).clone();
-            sf.stale = false;
-            self.timed_apply(&mut work, refcount, &mut sf, &resp.actions);
-            work.filters[i] = Arc::new(sf);
-        }
-        self.publish(work.into_snapshot());
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
-    }
-
-    /// Polls the master through a retrying [`SyncDriver`], degrading
-    /// gracefully where the plain [`FilterReplica::sync`] would give up:
-    ///
-    /// - a transient failure that exhausts the driver's retry/time budget
-    ///   marks the filter **stale** and moves on — the content keeps being
-    ///   served (availability over freshness; hits are counted in
-    ///   [`ReplicaStats::stale_serves`]) and the next cycle retries;
-    /// - an unrecoverable session error (expired cookie, replay past its
-    ///   window) first attempts a **reconciliation** exchange
-    ///   (`fbdr_resync::reconcile`): the replica digests its held items
-    ///   and receives only what actually diverged, re-establishing a live
-    ///   cookie at divergence-proportional cost. Reconciliation is skipped
-    ///   when the estimated divergence exceeds the driver's
-    ///   [`ReconcileConfig::divergence_budget`](fbdr_resync::ReconcileConfig)
-    ///   and falls back to a full reinstall when the exchange fails;
-    /// - the reinstall itself runs through the driver, so even the reload
-    ///   is retried on transient failures;
-    /// - everything else propagates as in [`FilterReplica::sync`].
-    ///
-    /// Returns the total resync traffic of the cycle. Like `sync`, the
-    /// cycle publishes one new epoch; readers keep answering from the
-    /// previous epoch while it runs.
-    ///
-    /// # Errors
-    ///
-    /// Non-transient, non-session [`SyncError`]s only; transport outages
-    /// never fail the cycle.
+    /// The first non-transient, non-session [`SyncError`] any filter hit,
+    /// after the cycle is published; transport outages never fail the
+    /// cycle.
     pub fn sync_with<C: Clock>(
         &self,
         transport: &mut dyn SyncTransport,
         driver: &mut SyncDriver<C>,
     ) -> Result<SyncTraffic, SyncError> {
-        let mut w = self.writer.lock();
-        let WriterState { sessions, refcount } = &mut *w;
-        let snap = self.snapshot();
-        let mut work = Working::from_snapshot(&snap);
-        let mut total = SyncTraffic::default();
-        let mut failed: Option<SyncError> = None;
-        for i in 0..work.filters.len() {
-            let request = work.filters[i].prepared.request().clone();
-            let session = &mut sessions[i];
-            let resp = match driver.resync(transport, &request, ReSyncControl::poll(session.cookie))
-            {
-                Ok(resp) => resp,
-                Err(e) if e.is_transient() => {
-                    // Budget exhausted: serve what we have until the next
-                    // cycle rather than failing the whole replica.
-                    Arc::make_mut(&mut work.filters[i]).stale = true;
-                    event!(self.obs, "replica", "filter_stale", filter_index = i, reason = "sync");
-                    continue;
-                }
-                Err(e) if e.needs_reinstall() => {
-                    if matches!(e, SyncError::ReplayExpired { .. }) {
-                        if let Some(c) = session.cookie {
-                            transport.abandon(c);
-                        }
-                    }
-                    // Rung 2 of the ladder: reconcile — re-establish the
-                    // session at divergence-proportional cost instead of
-                    // re-shipping the whole content.
-                    let est = e.estimated_divergence();
-                    event!(
-                        self.obs,
-                        "replica",
-                        "session_lost",
-                        filter_index = i,
-                        divergence_known = est.is_some(),
-                        divergence = est.unwrap_or(0),
-                    );
-                    let budget = driver.reconcile_config().divergence_budget;
-                    if est.is_some_and(|d| d > budget) {
-                        driver.note_reconcile_fallback("divergence over budget");
-                    } else {
-                        let held = &work.filters[i].ids;
-                        let items: Vec<ReconcileItem> = held
-                            .iter()
-                            .filter_map(|&id| {
-                                let e = work.entries.get(id as usize)?.as_deref()?;
-                                Some(ReconcileItem { hash: entry_item_hash(e), id })
-                            })
-                            .collect();
-                        let resolve = |key: &str| {
-                            work.interner
-                                .get(key)
-                                .filter(|id| work.filters[i].ids.binary_search(id).is_ok())
-                        };
-                        match driver.reconcile(transport, &request, &items, &resolve) {
-                            Ok(outcome) => {
-                                session.cookie = Some(outcome.cookie);
-                                total.absorb(&outcome.traffic());
-                                // Deletes BEFORE upserts: a modify caught
-                                // as a round-two false positive arrives as
-                                // a delete of the stale version plus an
-                                // add of the current one.
-                                let mut actions: Vec<SyncAction> = Vec::with_capacity(
-                                    outcome.delete_ids.len() + outcome.upserts.len(),
-                                );
-                                for &id in &outcome.delete_ids {
-                                    if let Some(e) =
-                                        work.entries.get(id as usize).and_then(|s| s.as_deref())
-                                    {
-                                        actions.push(SyncAction::Delete(e.dn().clone()));
-                                    }
-                                }
-                                actions.extend(outcome.upserts.into_iter().map(SyncAction::Add));
-                                let mut sf = (*work.filters[i]).clone();
-                                sf.stale = false;
-                                self.timed_apply(&mut work, refcount, &mut sf, &actions);
-                                work.filters[i] = Arc::new(sf);
-                                continue;
-                            }
-                            Err(e) if e.is_transient() => {
-                                // The exchange could not get through; the
-                                // old content is still the best answer.
-                                Arc::make_mut(&mut work.filters[i]).stale = true;
-                                event!(
-                                    self.obs,
-                                    "replica",
-                                    "filter_stale",
-                                    filter_index = i,
-                                    reason = "reconcile",
-                                );
-                                continue;
-                            }
-                            Err(_) => {
-                                driver.note_reconcile_fallback("reconcile exchange failed");
-                            }
-                        }
-                    }
-                    // Rung 3: full reinstall.
-                    driver.note_reinstall();
-                    match driver.resync(transport, &request, ReSyncControl::poll(None)) {
-                        Ok(resp) => {
-                            drop_filter_content(&mut work, refcount, i);
-                            resp
-                        }
-                        Err(e) if e.is_transient() => {
-                            // Even the reinstall could not get through;
-                            // the old content is still the best answer.
-                            Arc::make_mut(&mut work.filters[i]).stale = true;
-                            event!(
-                                self.obs,
-                                "replica",
-                                "filter_stale",
-                                filter_index = i,
-                                reason = "reinstall",
-                            );
-                            continue;
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            };
-            session.cookie = resp.cookie;
-            total.absorb(&resp.traffic());
-            let mut sf = (*work.filters[i]).clone();
-            sf.stale = false;
-            self.timed_apply(&mut work, refcount, &mut sf, &resp.actions);
-            work.filters[i] = Arc::new(sf);
-        }
-        self.publish(work.into_snapshot());
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
+        self.sync_unsharded(transport, driver, None).map(Option::unwrap_or_default)
     }
 
     /// Installs a generalized filter against a **sharded** master: the
@@ -932,23 +754,19 @@ impl FilterReplica {
     ) -> Result<SyncTraffic, SyncError> {
         let mut w = self.writer.lock();
         let (actions, cookie, traffic) = coordinator.install(transport, &request)?;
-        self.install_loaded(&mut w, request, None, None, &actions);
-        w.sessions.last_mut().expect("install_loaded pushed a session").composite = Some(cookie);
+        let session = FilterSession { map: coordinator.map().clone(), cookie, notifications: None };
+        self.install_loaded(&mut w, request, session, &actions);
         Ok(traffic)
     }
 
-    /// One sync cycle against a sharded master: every stored filter polls
-    /// each shard it overlaps **independently** through the coordinator's
-    /// per-shard retry/reconcile/reinstall ladders, so a slow or
-    /// partitioned shard degrades only its own slice to stale while the
-    /// other shards' updates land. A filter with any stale or failed
-    /// shard is marked stale as a whole (its answers may miss that
-    /// shard's updates) but keeps serving.
-    ///
-    /// Filters installed via the unsharded paths are polled through the
-    /// plain transport legs, exactly as [`FilterReplica::sync_with`]
-    /// would, so mixed deployments can share one cycle. Publishes one
-    /// epoch.
+    /// One sync cycle against a sharded master over the filters installed
+    /// with [`FilterReplica::install_filter_sharded`] under the
+    /// coordinator's map: every such filter steps each shard it overlaps
+    /// **independently**, on that shard's driver, so a slow or partitioned
+    /// shard degrades only its own slice to stale while the other shards'
+    /// updates land. A filter with any stale or failed shard is marked
+    /// stale as a whole (its answers may miss that shard's updates) but
+    /// keeps serving. Otherwise as [`FilterReplica::sync_with`].
     ///
     /// # Errors
     ///
@@ -959,67 +777,11 @@ impl FilterReplica {
         transport: &mut dyn SyncTransport,
         coordinator: &mut ShardCoordinator<C>,
     ) -> Result<SyncTraffic, SyncError> {
-        let mut w = self.writer.lock();
-        let WriterState { sessions, refcount } = &mut *w;
-        let snap = self.snapshot();
-        let mut work = Working::from_snapshot(&snap);
-        let mut total = SyncTraffic::default();
-        let mut failed: Option<SyncError> = None;
         let map = coordinator.map().clone();
-        for i in 0..work.filters.len() {
-            let request = work.filters[i].prepared.request().clone();
-            let session = &mut sessions[i];
-            let Some(mut composite) = session.composite.take() else {
-                // Not a sharded filter; nothing to coordinate this cycle.
-                continue;
-            };
-            let outcomes = {
-                let content = WorkingShardContent { work: &work, filter: i, map: &map };
-                coordinator.sync_filter(transport, &request, &mut composite, &content)
-            };
-            session.composite = Some(composite);
-            let mut fresh = true;
-            let mut actions: Vec<SyncAction> = Vec::new();
-            for out in outcomes {
-                total.absorb(&out.traffic);
-                actions.extend(out.actions);
-                match out.status {
-                    ShardStatus::Stale => {
-                        fresh = false;
-                        event!(
-                            self.obs,
-                            "replica",
-                            "shard_stale",
-                            filter_index = i,
-                            shard = out.shard.index(),
-                        );
-                    }
-                    ShardStatus::Failed(e) => {
-                        fresh = false;
-                        event!(
-                            self.obs,
-                            "replica",
-                            "shard_failed",
-                            filter_index = i,
-                            shard = out.shard.index(),
-                        );
-                        if failed.is_none() {
-                            failed = Some(e);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let mut sf = (*work.filters[i]).clone();
-            sf.stale = !fresh;
-            self.timed_apply(&mut work, refcount, &mut sf, &actions);
-            work.filters[i] = Arc::new(sf);
-        }
-        self.publish(work.into_snapshot());
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
+        self.sync_cycle(transport, &map, None, &mut |t, request, cookie, content| {
+            coordinator.sync_filter(t, request, cookie, content)
+        })
+        .map(Option::unwrap_or_default)
     }
 
     /// Polls the master for a *single* stored filter, leaving the others
@@ -1027,33 +789,102 @@ impl FilterReplica {
     /// types different consistency levels (§3.2): hot, volatile filters
     /// can poll frequently while stable ones poll rarely — something a
     /// subtree replica cannot do, since one subtree mixes object types.
+    /// The filter takes the same session step as in
+    /// [`FilterReplica::sync_with`], so a lost session recovers.
     ///
-    /// Returns `Ok(None)` when `request` is not a stored filter.
+    /// Returns `Ok(None)` when `request` is not a filter installed through
+    /// the unsharded paths.
     ///
     /// # Errors
     ///
-    /// Propagates [`SyncError`] from the master; on error nothing is
-    /// published (the previous epoch stays current).
-    pub fn sync_filter(
+    /// As [`FilterReplica::sync_with`].
+    pub fn sync_filter<C: Clock>(
         &self,
-        master: &mut SyncMaster,
+        transport: &mut dyn SyncTransport,
+        driver: &mut SyncDriver<C>,
         request: &SearchRequest,
     ) -> Result<Option<SyncTraffic>, SyncError> {
+        self.sync_unsharded(transport, driver, Some(request))
+    }
+
+    /// A [`FilterReplica::sync_cycle`] over the unsharded filters: the
+    /// one-shard map, every session stepped on `driver`.
+    fn sync_unsharded<C: Clock>(
+        &self,
+        transport: &mut dyn SyncTransport,
+        driver: &mut SyncDriver<C>,
+        only: Option<&SearchRequest>,
+    ) -> Result<Option<SyncTraffic>, SyncError> {
+        let single = ShardMap::single();
+        let drivers = std::slice::from_mut(driver);
+        self.sync_cycle(transport, &single, only, &mut |t, request, cookie, content| {
+            sync_shards(&single, drivers, t, request, cookie, content)
+        })
+    }
+
+    /// The one sync cycle: every filter installed under `map` (only the
+    /// one equal to `only`, when given) runs `step` over its sessions and
+    /// applies the outcomes. A filter is fresh when every shard step was;
+    /// otherwise it is marked stale and keeps serving. The cycle publishes
+    /// one epoch, then returns the first hard error any step hit.
+    /// `Ok(None)`: `only` names no such filter, and nothing is published.
+    fn sync_cycle(
+        &self,
+        transport: &mut dyn SyncTransport,
+        map: &ShardMap,
+        only: Option<&SearchRequest>,
+        step: &mut SessionStep<'_>,
+    ) -> Result<Option<SyncTraffic>, SyncError> {
         let mut w = self.writer.lock();
+        let WriterState { sessions, refcount } = &mut *w;
         let snap = self.snapshot();
-        let Some(pos) = snap.filters.iter().position(|s| s.prepared.request() == request) else {
-            return Ok(None);
-        };
-        let resp = master.resync(request, ReSyncControl::poll(w.sessions[pos].cookie))?;
-        w.sessions[pos].cookie = resp.cookie;
-        let traffic = resp.traffic();
         let mut work = Working::from_snapshot(&snap);
-        let mut sf = (*work.filters[pos]).clone();
-        sf.stale = false;
-        self.timed_apply(&mut work, &mut w.refcount, &mut sf, &resp.actions);
-        work.filters[pos] = Arc::new(sf);
+        let mut total = SyncTraffic::default();
+        let mut failed: Option<SyncError> = None;
+        let mut polled = false;
+        for (i, session) in sessions.iter_mut().enumerate() {
+            let filter = Arc::clone(&work.filters[i]);
+            let request = filter.prepared.request();
+            if session.map != *map || only.is_some_and(|r| r != request) {
+                continue;
+            }
+            polled = true;
+            let outcomes = {
+                let content = WorkingShardContent { work: &work, filter: i, map };
+                step(transport, request, &mut session.cookie, &content)
+            };
+            let mut sf = (*filter).clone();
+            sf.stale = false;
+            let mut actions: Vec<SyncAction> = Vec::new();
+            for out in outcomes {
+                total.absorb(&out.traffic);
+                if !out.is_fresh() {
+                    sf.stale = true;
+                    event!(
+                        self.obs,
+                        "replica",
+                        "filter_stale",
+                        filter_index = i,
+                        shard = out.shard.index(),
+                        failed = matches!(out.status, ShardStatus::Failed(_)),
+                    );
+                }
+                actions.extend(out.actions);
+                if let ShardStatus::Failed(e) = out.status {
+                    failed.get_or_insert(e);
+                }
+            }
+            self.timed_apply(&mut work, refcount, &mut sf, &actions);
+            work.filters[i] = Arc::new(sf);
+        }
+        if only.is_some() && !polled {
+            return Ok(None);
+        }
         self.publish(work.into_snapshot());
-        Ok(Some(traffic))
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(Some(total)),
+        }
     }
 
     /// Caches a recently performed user query and its result (fetched from
@@ -1435,16 +1266,6 @@ fn apply_actions(
     }
 }
 
-/// Drops every id a filter references (full-reload preparation),
-/// garbage-collecting entries no other filter needs.
-fn drop_filter_content(work: &mut Working, refcount: &mut HashMap<u32, usize>, pos: usize) {
-    let mut sf = (*work.filters[pos]).clone();
-    for id in std::mem::take(&mut sf.ids) {
-        unref(work, refcount, id);
-    }
-    work.filters[pos] = Arc::new(sf);
-}
-
 /// Drops one filter reference to an entry id, garbage-collecting the
 /// entry (slot + index postings) when no filter references remain.
 ///
@@ -1588,7 +1409,7 @@ mod tests {
         })
         .unwrap();
         let epoch_before = r.epoch();
-        let t = r.sync(&mut m).unwrap();
+        let t = r.sync_with(&mut m, &mut SyncDriver::default()).unwrap();
         assert_eq!(t.full_entries, 1);
         assert_eq!(t.dn_only, 1);
         assert_eq!(r.entry_count(), 2);
@@ -1709,9 +1530,8 @@ mod tests {
         m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
         assert_eq!(m.expire_idle(0), 1);
 
-        // The poll recovers via a fresh full load; content converges.
-        let t = r.sync(&mut m).unwrap();
-        assert_eq!(t.full_entries, 3, "full reload of the filter content");
+        // The poll recovers the session; content converges.
+        r.sync_with(&mut m, &mut SyncDriver::default()).unwrap();
         assert_eq!(r.entry_count(), 3);
         let hit = r.try_answer(&root_query("(serialNumber=0456*)")).unwrap();
         let dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
@@ -1721,7 +1541,7 @@ mod tests {
 
         // Subsequent polls use the recovered session incrementally.
         m.apply(UpdateOp::Add(person("f", "in", "045660", "2407"))).unwrap();
-        let t = r.sync(&mut m).unwrap();
+        let t = r.sync_with(&mut m, &mut SyncDriver::default()).unwrap();
         assert_eq!(t.full_entries, 1);
     }
 
@@ -1770,7 +1590,8 @@ mod tests {
         .unwrap();
 
         // Only the hot filter polls.
-        let t = r.sync_filter(&mut m, &hot).unwrap().expect("hot filter stored");
+        let mut d = SyncDriver::default();
+        let t = r.sync_filter(&mut m, &mut d, &hot).unwrap().expect("hot filter stored");
         assert_eq!(t.full_entries, 1);
         let hot_ans = r.try_answer(&root_query("(mail=hot@x)"));
         assert!(hot_ans.is_none(), "mail query is not contained in dept filter");
@@ -1782,7 +1603,18 @@ mod tests {
         assert!(!e.iter().any(|e| e.has_value(&"mail".into(), &"cold@x".into())));
 
         // Unknown filters return None.
-        assert!(r.sync_filter(&mut m, &root_query("(cn=zz)")).unwrap().is_none());
+        assert!(r.sync_filter(&mut m, &mut d, &root_query("(cn=zz)")).unwrap().is_none());
+
+        // An expired session recovers through the same step: the cold
+        // filter's session (idle since install) expires, and the next
+        // per-filter poll converges on the content it missed.
+        assert_eq!(m.expire_idle(0), 1);
+        let t = r.sync_filter(&mut m, &mut d, &cold).unwrap().expect("cold filter stored");
+        assert_eq!(t.full_entries, 1);
+        assert_eq!(d.stats().reconciliations, 1);
+        let e = r.try_answer(&cold).unwrap();
+        assert!(e.iter().any(|e| e.has_value(&"mail".into(), &"cold@x".into())));
+        assert_eq!(r.stale_filter_count(), 0);
     }
 
     #[test]
@@ -1869,7 +1701,7 @@ mod tests {
         // A publish (sync cycle) invalidates: the next probe misses and
         // sees the fresh content.
         m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
-        r.sync(&mut m).unwrap();
+        r.sync_with(&mut m, &mut SyncDriver::default()).unwrap();
         assert_eq!(r.try_answer(&q).unwrap().len(), 3);
         let s = r.decision_cache_stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 3, 1));
@@ -1887,14 +1719,14 @@ mod tests {
         let r = FilterReplica::new(0);
         r.install_filter(&mut m, root_query("(departmentNumber=2406)")).unwrap();
         let before = r.snapshot();
-        r.sync(&mut m).unwrap();
+        r.sync_with(&mut m, &mut SyncDriver::default()).unwrap();
         let after = r.snapshot();
         assert_eq!(after.epoch, before.epoch + 1);
         assert!(Arc::ptr_eq(&before.index, &after.index), "index shared");
         assert!(Arc::ptr_eq(&before.interner, &after.interner), "interner shared");
         // A cycle that does apply changes replaces them.
         m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
-        r.sync(&mut m).unwrap();
+        r.sync_with(&mut m, &mut SyncDriver::default()).unwrap();
         let touched = r.snapshot();
         assert!(!Arc::ptr_eq(&after.index, &touched.index));
     }
@@ -2160,6 +1992,157 @@ mod tests {
         assert_eq!(r.stale_filter_count(), 0);
     }
 
+    // ------------------------------------------------------------------
+    // Sharded masters
+    // ------------------------------------------------------------------
+
+    /// Two shards: `c=a` on shard 0, `c=b` on shard 1, each master holding
+    /// the skeleton plus its own country.
+    fn two_shards() -> fbdr_resync::ShardedMaster {
+        let map = ShardMap::by_suffixes(vec![dn("c=a,o=xyz"), dn("c=b,o=xyz")]);
+        let mut m = fbdr_resync::ShardedMaster::new(map);
+        for (i, c) in ["a", "b"].into_iter().enumerate() {
+            let dit = m.shard_mut(ShardId::new(i as u16)).dit_mut();
+            dit.add_suffix(dn("o=xyz"));
+            dit.add(Entry::new(dn("o=xyz"))).unwrap();
+            dit.add(Entry::new(dn(&format!("c={c},o=xyz")))).unwrap();
+        }
+        for (cn, c, sn) in [("e1", "a", "040001"), ("e2", "b", "040002")] {
+            m.apply(UpdateOp::Add(person(cn, c, sn, "7"))).unwrap();
+        }
+        m
+    }
+
+    fn held_dns(r: &FilterReplica, q: &SearchRequest) -> Vec<String> {
+        let hit = r.try_answer(q).expect("contained query");
+        hit.iter().map(|e| e.dn().to_string()).collect()
+    }
+
+    #[test]
+    fn sharded_install_syncs_each_shard_and_serves() {
+        let mut m = two_shards();
+        let mut coord = ShardCoordinator::new(m.map().clone());
+        let r = FilterReplica::new(0);
+        let q = root_query("(serialNumber=04*)");
+        let t = r.install_filter_sharded(&mut m, &mut coord, q.clone()).unwrap();
+        // Both shards contributed content; hits answer locally.
+        assert_eq!(t.full_entries, 2);
+        assert_eq!(m.session_count(), 2, "one session per overlapped shard");
+        assert_eq!(held_dns(&r, &root_query("(serialNumber=040002)")), ["cn=e2,c=b,o=xyz"]);
+
+        // Updates land on different shards; one cycle picks up both.
+        m.apply(UpdateOp::Add(person("n0", "a", "040088", "7"))).unwrap();
+        m.apply(UpdateOp::Add(person("n1", "b", "040099", "7"))).unwrap();
+        let t = r.sync_with_sharded(&mut m, &mut coord).unwrap();
+        assert_eq!(t.full_entries, 2);
+        assert_eq!(held_dns(&r, &q).len(), 4);
+        assert_eq!(r.stale_filter_count(), 0);
+        // Two shard sessions opened at install plus two polled at sync.
+        assert_eq!(coord.stats().attempts, 4);
+        // An unsharded cycle does not touch the sharded filter's sessions.
+        assert_eq!(r.sync_with(&mut m, &mut SyncDriver::default()).unwrap().pdus(), 0);
+        assert_eq!(coord.stats().attempts, 4);
+    }
+
+    /// A sharded transport that fails the next `failures` polls of one
+    /// shard with a hard (non-transient, non-session) error.
+    struct ShardFails {
+        master: fbdr_resync::ShardedMaster,
+        shard: ShardId,
+        failures: u32,
+    }
+
+    impl SyncTransport for ShardFails {
+        fn resync(
+            &mut self,
+            request: &SearchRequest,
+            ctl: ReSyncControl,
+        ) -> Result<fbdr_resync::SyncResponse, SyncError> {
+            self.master.resync(request, ctl)
+        }
+        fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+            self.master.take_receiver(cookie)
+        }
+        fn abandon(&mut self, cookie: Cookie) {
+            self.master.abandon(cookie);
+        }
+        fn shard_count(&self) -> usize {
+            self.master.shard_count()
+        }
+        fn resync_at(
+            &mut self,
+            shard: ShardId,
+            request: &SearchRequest,
+            ctl: ReSyncControl,
+        ) -> Result<fbdr_resync::SyncResponse, SyncError> {
+            if shard == self.shard && self.failures > 0 {
+                self.failures -= 1;
+                return Err(SyncError::MissingCookie);
+            }
+            self.master.resync_at(shard, request, ctl)
+        }
+        fn abandon_at(&mut self, shard: ShardId, cookie: Cookie) {
+            self.master.abandon_at(shard, cookie);
+        }
+        fn reconcile_at(
+            &mut self,
+            shard: ShardId,
+            request: &SearchRequest,
+            req: fbdr_resync::reconcile::ReconcileRequest,
+        ) -> Result<fbdr_resync::reconcile::ReconcileResponse, SyncError> {
+            self.master.reconcile_at(shard, request, req)
+        }
+        fn reconcile_ranges_at(
+            &mut self,
+            shard: ShardId,
+            cookie: Cookie,
+            req: &fbdr_resync::reconcile::RangeRequest,
+        ) -> Result<fbdr_resync::reconcile::RangeResponse, SyncError> {
+            self.master.reconcile_ranges_at(shard, cookie, req)
+        }
+    }
+
+    #[test]
+    fn hard_shard_failure_keeps_the_session_and_loses_no_deletion() {
+        let mut t = ShardFails { master: two_shards(), shard: ShardId::new(1), failures: 0 };
+        let mut coord = ShardCoordinator::new(t.master.map().clone());
+        let r = FilterReplica::new(0);
+        let q = root_query("(serialNumber=04*)");
+        r.install_filter_sharded(&mut t, &mut coord, q.clone()).unwrap();
+
+        // Shard 1 loses e2 and gains e3; its next poll fails hard once.
+        t.master.apply(UpdateOp::Delete(dn("cn=e2,c=b,o=xyz"))).unwrap();
+        t.master.apply(UpdateOp::Add(person("e3", "b", "040003", "7"))).unwrap();
+        t.failures = 1;
+        let err = r.sync_with_sharded(&mut t, &mut coord).unwrap_err();
+        assert_eq!(err, SyncError::MissingCookie);
+        assert_eq!(r.stale_filter_count(), 1, "the failed shard's slice is stale");
+        assert_eq!(held_dns(&r, &q), ["cn=e1,c=a,o=xyz", "cn=e2,c=b,o=xyz"]);
+
+        // The next clean cycle resumes the kept session: the deletion
+        // lands, and shard 1 still holds exactly one session.
+        r.sync_with_sharded(&mut t, &mut coord).unwrap();
+        assert_eq!(r.stale_filter_count(), 0);
+        assert_eq!(held_dns(&r, &q), ["cn=e1,c=a,o=xyz", "cn=e3,c=b,o=xyz"]);
+        assert_eq!(t.master.shard(ShardId::new(1)).session_count(), 1);
+        assert_eq!(coord.stats().reinstalls + coord.stats().reconciliations, 0);
+    }
+
+    #[test]
+    fn remove_filter_abandons_every_shard_session() {
+        let mut m = two_shards();
+        let mut coord = ShardCoordinator::new(m.map().clone());
+        let r = FilterReplica::new(0);
+        let q = root_query("(serialNumber=04*)");
+        r.install_filter_sharded(&mut m, &mut coord, q.clone()).unwrap();
+        assert_eq!(m.session_count(), 2);
+        assert!(r.remove_filter(&mut m, &q));
+        for shard in m.map().shards() {
+            assert_eq!(m.shard(shard).session_count(), 0, "shard {shard} leaked a session");
+        }
+        assert_eq!(r.entry_count(), 0);
+    }
+
     #[test]
     fn disconnected_persist_channel_degrades_to_polling() {
         let mut m = master();
@@ -2185,7 +2168,7 @@ mod tests {
         // ledger knows what the stream already delivered: the fallback
         // poll sends only "f", not a redelivery of "e".
         m.apply(UpdateOp::Add(person("f", "in", "045660", "2406"))).unwrap();
-        let t = r.sync(&mut m).unwrap();
+        let t = r.sync_with(&mut m, &mut SyncDriver::default()).unwrap();
         assert_eq!(t.full_entries, 1);
         assert_eq!(r.entry_count(), 4);
     }

@@ -8,11 +8,12 @@
 //! anything else is surfaced immediately. Time comes from a [`Clock`], so
 //! tests (and the fault-injection harness) can run on simulated time.
 
-use crate::protocol::{NotifyBatch, ReSyncControl, SyncError, SyncResponse};
+use crate::protocol::{NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncResponse};
 use crate::reconcile::{
     self, RangeRequest, RangeResponse, ReconcileConfig, ReconcileItem, ReconcileOutcome,
     ReconcileRequest, ReconcileResponse,
 };
+use crate::shard::{ShardContent, ShardOutcome, ShardStatus};
 use crate::Cookie;
 use crate::SyncMaster;
 use crossbeam::channel::Receiver;
@@ -273,7 +274,7 @@ impl DriverStats {
 ///
 /// ```
 /// use fbdr_ldap::{Entry, Filter, SearchRequest};
-/// use fbdr_resync::{ReSyncControl, SyncDriver, SyncMaster, SyncTransport};
+/// use fbdr_resync::{ReSyncControl, ShardId, SyncDriver, SyncMaster, SyncTransport};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut master = SyncMaster::new();
@@ -285,7 +286,7 @@ impl DriverStats {
 /// // retries whatever transport it is given.
 /// let mut driver = SyncDriver::default();
 /// let request = SearchRequest::from_root(Filter::parse("(dept=7)")?);
-/// let resp = driver.resync(&mut master, &request, ReSyncControl::poll(None))?;
+/// let resp = driver.resync(&mut master, ShardId::ZERO, &request, ReSyncControl::poll(None))?;
 /// assert_eq!(resp.actions.len(), 1);
 /// assert_eq!(driver.stats().attempts, 1);
 /// assert_eq!(driver.stats().retries, 0);
@@ -367,11 +368,6 @@ impl<C: Clock> SyncDriver<C> {
         &self.config
     }
 
-    /// The reconciliation tuning in force.
-    pub fn reconcile_config(&self) -> &ReconcileConfig {
-        &self.reconcile
-    }
-
     /// Accumulated robustness counters.
     pub fn stats(&self) -> DriverStats {
         self.stats
@@ -387,9 +383,9 @@ impl<C: Clock> SyncDriver<C> {
         event!(self.obs, "driver", "poll_fallback");
     }
 
-    /// Counts a full reinstall (recorded by the replica when a session
-    /// proves unrecoverable and the content is reloaded from scratch).
-    pub fn note_reinstall(&mut self) {
+    /// Counts a full reinstall (a session proved unrecoverable and the
+    /// content is reloaded from scratch).
+    fn note_reinstall(&mut self) {
         self.stats.reinstalls += 1;
         if self.obs.is_active() {
             self.obs.registry().counter("fbdr_resync_reinstalls_total").inc();
@@ -399,17 +395,20 @@ impl<C: Clock> SyncDriver<C> {
 
     /// Counts a reconcile→reinstall fallback (budget exceeded, transport
     /// incapable, or the exchange itself failed). The subsequent
-    /// reinstall is counted separately via [`SyncDriver::note_reinstall`].
-    pub fn note_reconcile_fallback(&mut self, reason: &str) {
+    /// reinstall is counted separately.
+    fn note_reconcile_fallback(&mut self, reason: &str) {
         if self.obs.is_active() {
             self.obs.registry().counter("fbdr_resync_reconcile_fallbacks_total").inc();
         }
         event!(self.obs, "driver", "reconcile_fallback", reason = reason);
     }
 
-    /// Performs one resync exchange, retrying transient failures with
-    /// exponential backoff and deterministic jitter until the retry count
-    /// or time budget runs out.
+    /// Performs one resync exchange with `shard`, retrying transient
+    /// failures with exponential backoff and deterministic jitter until
+    /// the retry count or time budget runs out. The exchange goes through
+    /// [`SyncTransport::resync_at`], so a sharded transport cannot
+    /// re-route it by base; an unsharded transport is
+    /// [`ShardId::ZERO`].
     ///
     /// # Errors
     ///
@@ -418,29 +417,6 @@ impl<C: Clock> SyncDriver<C> {
     /// error, so `is_transient()` still holds); any non-transient
     /// [`SyncError`] immediately and unwrapped.
     pub fn resync(
-        &mut self,
-        transport: &mut dyn SyncTransport,
-        request: &SearchRequest,
-        ctl: ReSyncControl,
-    ) -> Result<SyncResponse, SyncError> {
-        let timer = self.exchange_hist.as_ref().map(|_| Instant::now());
-        let out = self.retry_loop(&mut |_attempt| transport.resync(request, ctl));
-        if let (Some(h), Some(t)) = (&self.exchange_hist, timer) {
-            h.record_since(t);
-        }
-        out
-    }
-
-    /// [`SyncDriver::resync`] addressed to one shard of a sharded
-    /// transport: the same retry ladder, but the exchange goes through
-    /// [`SyncTransport::resync_at`] so a sharded transport cannot
-    /// re-route it by base (the coordinator has already decided the
-    /// shard).
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncDriver::resync`].
-    pub fn resync_at(
         &mut self,
         transport: &mut dyn SyncTransport,
         shard: ShardId,
@@ -455,11 +431,11 @@ impl<C: Clock> SyncDriver<C> {
         out
     }
 
-    /// Runs a full reconciliation exchange (see [`crate::reconcile`])
-    /// under the driver's retry policy, with per-attempt digest re-salting
-    /// so a retried exchange draws fresh Bloom false positives. On
-    /// success the reconciliation counters and the
-    /// `fbdr_resync_reconcile_exchange_ns` histogram are recorded.
+    /// Runs a full reconciliation exchange with `shard` (see
+    /// [`crate::reconcile`]) under the driver's retry policy, with
+    /// per-attempt digest re-salting so a retried exchange draws fresh
+    /// Bloom false positives. On success the reconciliation counters and
+    /// the `fbdr_resync_reconcile_exchange_ns` histogram are recorded.
     ///
     /// # Errors
     ///
@@ -471,40 +447,10 @@ impl<C: Clock> SyncDriver<C> {
     pub fn reconcile(
         &mut self,
         transport: &mut dyn SyncTransport,
-        request: &SearchRequest,
-        items: &[ReconcileItem],
-        resolve: &dyn Fn(&str) -> Option<u32>,
-    ) -> Result<ReconcileOutcome, SyncError> {
-        self.reconcile_run(&mut |cfg| reconcile::reconcile(transport, request, items, resolve, cfg))
-    }
-
-    /// [`SyncDriver::reconcile`] addressed to one shard of a sharded
-    /// transport: same retry policy, re-salting and bookkeeping, with the
-    /// exchange legs going through [`SyncTransport::reconcile_at`] /
-    /// [`SyncTransport::reconcile_ranges_at`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncDriver::reconcile`].
-    pub fn reconcile_at(
-        &mut self,
-        transport: &mut dyn SyncTransport,
         shard: ShardId,
         request: &SearchRequest,
         items: &[ReconcileItem],
         resolve: &dyn Fn(&str) -> Option<u32>,
-    ) -> Result<ReconcileOutcome, SyncError> {
-        self.reconcile_run(&mut |cfg| {
-            reconcile::reconcile_at(transport, shard, request, items, resolve, cfg)
-        })
-    }
-
-    /// Shared body of [`SyncDriver::reconcile`]/[`SyncDriver::reconcile_at`]:
-    /// retry loop with per-attempt digest re-salting around `exchange`,
-    /// plus the success-side counters, events and histogram.
-    fn reconcile_run(
-        &mut self,
-        exchange: &mut dyn FnMut(&ReconcileConfig) -> Result<ReconcileOutcome, SyncError>,
     ) -> Result<ReconcileOutcome, SyncError> {
         let timer = self.reconcile_hist.as_ref().map(|_| Instant::now());
         let base = self.reconcile;
@@ -513,7 +459,7 @@ impl<C: Clock> SyncDriver<C> {
                 seed: base.seed ^ (u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 ..base
             };
-            exchange(&cfg)
+            reconcile::reconcile(transport, shard, request, items, resolve, &cfg)
         });
         if let Ok(outcome) = &out {
             self.stats.reconciliations += 1;
@@ -540,6 +486,99 @@ impl<C: Clock> SyncDriver<C> {
             h.record_since(t);
         }
         out
+    }
+
+    /// One step of the ReSync session `request` holds with `shard`: the
+    /// recovery ladder every replica sync path runs.
+    ///
+    /// 1. **Poll** on the `prior` cookie (transient failures retried).
+    /// 2. A lost session ([`SyncError::needs_reinstall`]) is abandoned at
+    ///    the master when it still exists there
+    ///    ([`SyncError::ReplayExpired`]), then **reconciled** against the
+    ///    shard's slice of the held `content` — unless the *known*
+    ///    divergence exceeds the
+    ///    [`divergence_budget`](ReconcileConfig::divergence_budget).
+    /// 3. Over budget, or when the reconcile exchange fails, the slice is
+    ///    **reinstalled**: every held entry of the shard is deleted and a
+    ///    fresh load replayed.
+    ///
+    /// A transient failure on any rung ends the step
+    /// [`ShardStatus::Stale`], any other error [`ShardStatus::Failed`];
+    /// both keep `prior`, so the next step resumes the same session and
+    /// no deletion is lost. The outcome carries the actions to apply, in
+    /// order, and the cookie to hold from now on.
+    pub fn sync_session(
+        &mut self,
+        transport: &mut dyn SyncTransport,
+        shard: ShardId,
+        request: &SearchRequest,
+        prior: Option<Cookie>,
+        content: &dyn ShardContent,
+    ) -> ShardOutcome {
+        let e = match self.resync(transport, shard, request, ReSyncControl::poll(prior)) {
+            Ok(resp) => return ShardOutcome::fresh(shard, ShardStatus::Updated, resp),
+            Err(e) => e,
+        };
+        if !e.needs_reinstall() {
+            return ShardOutcome::kept(shard, prior, e);
+        }
+        if matches!(e, SyncError::ReplayExpired { .. }) {
+            // The session still exists at the master; free it.
+            if let Some(c) = prior {
+                transport.abandon_at(shard, c);
+            }
+        }
+        let divergence = e.estimated_divergence();
+        event!(
+            self.obs,
+            "driver",
+            "session_lost",
+            shard = shard.index(),
+            divergence_known = divergence.is_some(),
+            divergence = divergence.unwrap_or(0),
+        );
+        if divergence.is_some_and(|d| d > self.reconcile.divergence_budget) {
+            self.note_reconcile_fallback("divergence over budget");
+        } else {
+            let items = content.items(shard);
+            let resolve = |key: &str| content.resolve(shard, key);
+            match self.reconcile(transport, shard, request, &items, &resolve) {
+                Ok(outcome) => {
+                    let traffic = outcome.traffic();
+                    // Deletes BEFORE upserts: a modify caught as a
+                    // round-two false positive arrives as a delete of the
+                    // stale version plus an add of the current one.
+                    let mut actions: Vec<SyncAction> = outcome
+                        .delete_ids
+                        .iter()
+                        .filter_map(|&id| content.dn_of(shard, id))
+                        .map(SyncAction::Delete)
+                        .collect();
+                    actions.extend(outcome.upserts.into_iter().map(SyncAction::Add));
+                    return ShardOutcome {
+                        shard,
+                        actions,
+                        status: ShardStatus::Reconciled,
+                        cookie: Some(outcome.cookie),
+                        traffic,
+                    };
+                }
+                Err(e) if e.is_transient() => return ShardOutcome::kept(shard, prior, e),
+                Err(_) => self.note_reconcile_fallback("reconcile exchange failed"),
+            }
+        }
+        self.note_reinstall();
+        match self.resync(transport, shard, request, ReSyncControl::poll(None)) {
+            Ok(resp) => {
+                let mut out = ShardOutcome::fresh(shard, ShardStatus::Reinstalled, resp);
+                let mut actions: Vec<SyncAction> =
+                    content.held_dns(shard).into_iter().map(SyncAction::Delete).collect();
+                actions.append(&mut out.actions);
+                out.actions = actions;
+                out
+            }
+            Err(e) => ShardOutcome::kept(shard, prior, e),
+        }
     }
 
     /// The shared retry ladder: runs `op` (receiving the 0-based attempt
@@ -678,7 +717,8 @@ mod tests {
         let calls = Rc::new(Cell::new(0));
         let mut t = Flaky { failures_left: 2, calls: calls.clone() };
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
-        let resp = d.resync(&mut t, &req(), ReSyncControl::poll(None)).expect("recovers");
+        let resp =
+            d.resync(&mut t, ShardId::ZERO, &req(), ReSyncControl::poll(None)).expect("recovers");
         assert!(resp.cookie.is_some());
         assert_eq!(calls.get(), 3);
         let s = d.stats();
@@ -694,7 +734,7 @@ mod tests {
         let mut t = Flaky { failures_left: 100, calls: calls.clone() };
         let cfg = RetryConfig { max_retries: 3, ..RetryConfig::default() };
         let mut d = SyncDriver::with_clock(cfg, TestClock::default());
-        let err = d.resync(&mut t, &req(), ReSyncControl::poll(None)).unwrap_err();
+        let err = d.resync(&mut t, ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap_err();
         assert!(err.is_transient());
         assert!(
             matches!(err, SyncError::RetriesExhausted { attempts: 4, .. }),
@@ -717,7 +757,7 @@ mod tests {
         };
         let clock = TestClock::default();
         let mut d = SyncDriver::with_clock(cfg, clock.clone());
-        let err = d.resync(&mut t, &req(), ReSyncControl::poll(None)).unwrap_err();
+        let err = d.resync(&mut t, ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap_err();
         assert!(err.is_transient());
         // Backoffs are 100..=150ms; at most two fit into the 250ms budget.
         assert!(calls.get() <= 3, "budget must cap attempts, saw {}", calls.get());
@@ -741,7 +781,8 @@ mod tests {
             fn abandon(&mut self, _cookie: Cookie) {}
         }
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
-        let err = d.resync(&mut Dead, &req(), ReSyncControl::poll(None)).unwrap_err();
+        let err =
+            d.resync(&mut Dead, ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap_err();
         assert!(err.needs_reinstall());
         assert_eq!(d.stats().attempts, 1);
         assert_eq!(d.stats().retries, 0);
@@ -753,7 +794,7 @@ mod tests {
         // Flaky relies on the trait's default reconcile legs.
         let mut t = Flaky { failures_left: 0, calls };
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
-        let err = d.reconcile(&mut t, &req(), &[], &|_| None).unwrap_err();
+        let err = d.reconcile(&mut t, ShardId::ZERO, &req(), &[], &|_| None).unwrap_err();
         assert!(matches!(err, SyncError::ReconcileFailed(_)));
         assert!(!err.is_transient());
         assert!(!err.needs_reinstall(), "classified as its own failure, not a dead session");
@@ -802,7 +843,8 @@ mod tests {
 
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
         let resolve = |key: &str| keys.iter().position(|k| k == key).map(|i| i as u32);
-        let outcome = d.reconcile(&mut m, &request, &items, &resolve).expect("reconciles");
+        let outcome =
+            d.reconcile(&mut m, ShardId::ZERO, &request, &items, &resolve).expect("reconciles");
 
         // Divergence-proportional: ~6 differing items out of 50, so far
         // fewer than the full content crosses the wire.
@@ -841,7 +883,7 @@ mod tests {
         // The cookie resumes incrementally at the current content.
         m.apply(fbdr_dit::UpdateOp::Add(person("late", "l@x"))).unwrap();
         let poll = d
-            .resync(&mut m, &request, ReSyncControl::poll(Some(outcome.cookie)))
+            .resync(&mut m, ShardId::ZERO, &request, ReSyncControl::poll(Some(outcome.cookie)))
             .expect("cookie is live");
         assert_eq!(poll.actions.len(), 1);
     }

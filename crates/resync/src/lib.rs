@@ -77,7 +77,8 @@ pub use master::{GcConfig, GcReport, MasterFootprint, NotifyFlush, NotifyPolicy,
 pub use reconcile::{ReconcileConfig, ReconcileConfigBuilder, ReconcileItem, ReconcileOutcome};
 pub use routing::{RoutingIndex, RoutingStats};
 pub use shard::{
-    CompositeCookie, ShardContent, ShardCoordinator, ShardOutcome, ShardStatus, ShardedMaster,
+    sync_shards, CompositeCookie, ShardContent, ShardCoordinator, ShardOutcome, ShardStatus,
+    ShardedMaster,
 };
 pub use protocol::{
     ActionCounts, Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncMode,

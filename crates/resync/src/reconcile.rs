@@ -513,7 +513,11 @@ impl ReconcileOutcome {
 // Replica-side exchange
 // ----------------------------------------------------------------------
 
-/// Runs one full reconciliation exchange over `transport` for `request`.
+/// Runs one full reconciliation exchange with `shard` over `transport`
+/// for `request` (an unsharded transport is [`fbdr_net::ShardId::ZERO`]).
+/// The legs go through [`SyncTransport::reconcile_at`] /
+/// [`SyncTransport::reconcile_ranges_at`], so a sharded transport cannot
+/// re-route them by base.
 ///
 /// `items` is the replica's current held set for the filter; `resolve`
 /// maps a normalized DN key to the replica-local id of a held item (used
@@ -530,39 +534,7 @@ impl ReconcileOutcome {
 /// exchange.
 pub fn reconcile(
     transport: &mut dyn SyncTransport,
-    request: &SearchRequest,
-    items: &[ReconcileItem],
-    resolve: &dyn Fn(&str) -> Option<u32>,
-    config: &ReconcileConfig,
-) -> Result<ReconcileOutcome, SyncError> {
-    reconcile_inner(transport, None, request, items, resolve, config)
-}
-
-/// [`reconcile`] addressed to one shard of a sharded transport: the
-/// exchange legs go through [`SyncTransport::reconcile_at`] /
-/// [`SyncTransport::reconcile_ranges_at`] so the coordinator's shard
-/// choice is honored instead of re-routing by base.
-///
-/// # Errors
-///
-/// As [`reconcile`].
-pub fn reconcile_at(
-    transport: &mut dyn SyncTransport,
     shard: fbdr_net::ShardId,
-    request: &SearchRequest,
-    items: &[ReconcileItem],
-    resolve: &dyn Fn(&str) -> Option<u32>,
-    config: &ReconcileConfig,
-) -> Result<ReconcileOutcome, SyncError> {
-    reconcile_inner(transport, Some(shard), request, items, resolve, config)
-}
-
-/// Shared body: `shard == None` uses the unsharded transport legs (which
-/// a sharded transport may route by base), `Some(shard)` the addressed
-/// ones.
-fn reconcile_inner(
-    transport: &mut dyn SyncTransport,
-    shard: Option<fbdr_net::ShardId>,
     request: &SearchRequest,
     items: &[ReconcileItem],
     resolve: &dyn Fn(&str) -> Option<u32>,
@@ -579,10 +551,7 @@ fn reconcile_inner(
     let mut tracker = ExchangeTracker::new();
     tracker.begin_round();
     tracker.register(HopDirection::LocalToRemote, 0, digest_bytes);
-    let resp = match shard {
-        Some(s) => transport.reconcile_at(s, request, req)?,
-        None => transport.reconcile(request, req)?,
-    };
+    let resp = transport.reconcile_at(shard, request, req)?;
     let summary_bytes = resp.summary.wire_bytes();
     tracker.register(HopDirection::RemoteToLocal, resp.state_bytes(), resp.metadata_bytes());
 
@@ -632,10 +601,7 @@ fn reconcile_inner(
         fallback_probes = rreq.probes.len() as u64;
         tracker.begin_round();
         tracker.register(HopDirection::LocalToRemote, 0, rreq.wire_bytes());
-        let r2 = match shard {
-            Some(s) => transport.reconcile_ranges_at(s, resp.cookie, &rreq)?,
-            None => transport.reconcile_ranges(resp.cookie, &rreq)?,
-        };
+        let r2 = transport.reconcile_ranges_at(shard, resp.cookie, &rreq)?;
         tracker.register(HopDirection::RemoteToLocal, r2.state_bytes(), r2.metadata_bytes());
         for h in &r2.delete_hashes {
             // Unknown hashes (cannot happen with a well-behaved master)

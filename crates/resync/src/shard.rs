@@ -13,10 +13,11 @@
 //! On the replica side a [`ShardCoordinator`] drives one ReSync session
 //! per shard a filter overlaps: it splits the filter's base/scope with
 //! [`ShardMap::split`], merges the per-shard cookies into a
-//! [`CompositeCookie`], and runs the retry/reconcile/reinstall ladder
-//! *independently per shard* — a slow or partitioned shard degrades to
-//! stale content for its slice while the other shards keep serving
-//! fresh updates.
+//! [`CompositeCookie`], and runs the one recovery ladder
+//! ([`SyncDriver::sync_session`]) *independently per shard* — a slow or
+//! partitioned shard degrades to stale content for its slice while the
+//! other shards keep serving fresh updates. An unsharded replica is the
+//! one-shard case of the same code ([`ShardMap::single`]).
 
 use crate::driver::{Clock, DriverStats, RetryConfig, SyncDriver, SyncTransport, SystemClock};
 use crate::master::{GcConfig, GcReport, MasterFootprint, NotifyFlush, NotifyPolicy};
@@ -482,14 +483,15 @@ pub enum ShardStatus {
     /// Transient failure; the shard's slice is served stale until the
     /// next cycle (its cookie, if any, is kept for resumption).
     Stale,
-    /// Hard failure; the shard's slice is stale and its session state
-    /// untrusted.
+    /// Hard failure; the shard's slice is served stale and its cookie
+    /// is kept, so the next cycle resumes the same session.
     Failed(SyncError),
 }
 
-/// The outcome of one shard's sync exchange: the actions to apply to
-/// this shard's slice (already including reinstall-preceding deletes),
-/// plus status and traffic.
+/// The outcome of one shard's session step
+/// ([`SyncDriver::sync_session`]): the actions to apply to this shard's
+/// slice (already including reinstall-preceding deletes), the cookie to
+/// hold from now on, plus status and traffic.
 #[derive(Debug, Clone)]
 pub struct ShardOutcome {
     /// Which shard.
@@ -498,6 +500,10 @@ pub struct ShardOutcome {
     pub actions: Vec<SyncAction>,
     /// Status of the exchange.
     pub status: ShardStatus,
+    /// The session cookie to hold for the shard: the fresh one after an
+    /// update, reconcile or reinstall, the prior one when the step was
+    /// stale or failed.
+    pub cookie: Option<Cookie>,
     /// Traffic cost of the exchange(s) for this shard.
     pub traffic: SyncTraffic,
 }
@@ -509,6 +515,34 @@ impl ShardOutcome {
             self.status,
             ShardStatus::Updated | ShardStatus::Reconciled | ShardStatus::Reinstalled
         )
+    }
+
+    /// A step that delivered `resp` on a live session.
+    pub(crate) fn fresh(shard: ShardId, status: ShardStatus, resp: SyncResponse) -> Self {
+        ShardOutcome {
+            shard,
+            traffic: resp.traffic(),
+            actions: resp.actions,
+            status,
+            cookie: resp.cookie,
+        }
+    }
+
+    /// A step that ended on `error` with nothing to apply: stale when the
+    /// error is transient, failed otherwise; the `prior` cookie is kept.
+    pub(crate) fn kept(shard: ShardId, prior: Option<Cookie>, error: SyncError) -> Self {
+        let status = if error.is_transient() {
+            ShardStatus::Stale
+        } else {
+            ShardStatus::Failed(error)
+        };
+        ShardOutcome {
+            shard,
+            actions: Vec::new(),
+            status,
+            cookie: prior,
+            traffic: SyncTraffic::default(),
+        }
     }
 }
 
@@ -595,7 +629,7 @@ impl<C: Clock> ShardCoordinator<C> {
         let mut cookie = CompositeCookie::new();
         let mut traffic = SyncTraffic::default();
         for (shard, sub) in self.map.split(request) {
-            let r = self.drivers[shard.index()].resync_at(
+            let r = self.drivers[shard.index()].resync(
                 transport,
                 shard,
                 &sub,
@@ -620,12 +654,9 @@ impl<C: Clock> ShardCoordinator<C> {
         Ok((actions, cookie, traffic))
     }
 
-    /// Runs one sync cycle for the filter: every overlapped shard gets an
-    /// incremental poll on its session, and failures walk the per-shard
-    /// recovery ladder (retry → reconcile within the divergence budget →
-    /// reinstall → serve stale). `cookie` is updated in place with each
-    /// shard's new session state; the outcomes carry the actions to
-    /// apply.
+    /// Runs one sync cycle for the filter: every overlapped shard takes
+    /// one [`SyncDriver::sync_session`] step on its own driver (see
+    /// [`sync_shards`]).
     ///
     /// Never fails as a whole: per-shard hard failures come back as
     /// [`ShardStatus::Failed`] while the other shards' outcomes stand.
@@ -636,168 +667,45 @@ impl<C: Clock> ShardCoordinator<C> {
         cookie: &mut CompositeCookie,
         content: &dyn ShardContent,
     ) -> Vec<ShardOutcome> {
-        self.map
-            .split(request)
-            .into_iter()
-            .map(|(shard, sub)| {
-                let out = self.sync_shard(transport, shard, &sub, cookie.get(shard), content);
-                match &out.status {
-                    ShardStatus::Stale => {} // keep the old cookie for resumption
-                    ShardStatus::Failed(_) => {
-                        cookie.remove(shard);
-                    }
-                    _ => match out.cookie {
-                        Some(c) => cookie.insert(shard, c),
-                        None => {
-                            cookie.remove(shard);
-                        }
-                    },
-                }
-                ShardOutcome {
-                    shard,
-                    actions: out.actions,
-                    status: out.status,
-                    traffic: out.traffic,
-                }
-            })
-            .collect()
-    }
-
-    /// One shard's exchange plus its recovery ladder; mirrors the
-    /// unsharded ladder in `FilterReplica::sync_with`, scoped to the
-    /// shard's slice.
-    fn sync_shard(
-        &mut self,
-        transport: &mut dyn SyncTransport,
-        shard: ShardId,
-        sub: &SearchRequest,
-        prior: Option<Cookie>,
-        content: &dyn ShardContent,
-    ) -> ShardExchange {
-        let driver = &mut self.drivers[shard.index()];
-        match driver.resync_at(transport, shard, sub, ReSyncControl::poll(prior)) {
-            Ok(resp) => ShardExchange {
-                traffic: resp.traffic(),
-                actions: resp.actions,
-                cookie: resp.cookie,
-                status: ShardStatus::Updated,
-            },
-            Err(e) if e.is_transient() => ShardExchange::stale(),
-            Err(e) if e.needs_reinstall() => {
-                // The session is dead. Abandon leaked session state, then
-                // reconcile when the estimated divergence is within
-                // budget, otherwise reinstall from scratch.
-                if matches!(
-                    e,
-                    SyncError::ReplayExpired { .. }
-                        | SyncError::RetriesExhausted { .. }
-                ) {
-                    if let Some(c) = prior {
-                        transport.abandon_at(shard, c);
-                    }
-                }
-                let budget = driver.reconcile_config().divergence_budget;
-                let within = e.estimated_divergence().is_some_and(|d| d <= budget);
-                if within {
-                    let items = content.items(shard);
-                    let resolve = |key: &str| content.resolve(shard, key);
-                    match self.drivers[shard.index()]
-                        .reconcile_at(transport, shard, sub, &items, &resolve)
-                    {
-                        Ok(outcome) => {
-                            let traffic = outcome.traffic();
-                            let mut actions: Vec<SyncAction> = outcome
-                                .delete_ids
-                                .iter()
-                                .filter_map(|&id| content.dn_of(shard, id))
-                                .map(SyncAction::Delete)
-                                .collect();
-                            actions.extend(outcome.upserts.into_iter().map(SyncAction::Add));
-                            return ShardExchange {
-                                actions,
-                                cookie: Some(outcome.cookie),
-                                status: ShardStatus::Reconciled,
-                                traffic,
-                            };
-                        }
-                        Err(e) if e.is_transient() => return ShardExchange::stale(),
-                        Err(_) => {
-                            self.drivers[shard.index()]
-                                .note_reconcile_fallback("shard reconcile failed");
-                        }
-                    }
-                } else {
-                    self.drivers[shard.index()].note_reconcile_fallback(
-                        if e.estimated_divergence().is_some() {
-                            "divergence over budget"
-                        } else {
-                            "divergence unknown"
-                        },
-                    );
-                }
-                self.reinstall_shard(transport, shard, sub, content)
-            }
-            Err(e) => ShardExchange::failed(e),
-        }
-    }
-
-    /// Rung 3: reload the shard's slice from scratch — delete everything
-    /// held for the shard, then replay the fresh content.
-    fn reinstall_shard(
-        &mut self,
-        transport: &mut dyn SyncTransport,
-        shard: ShardId,
-        sub: &SearchRequest,
-        content: &dyn ShardContent,
-    ) -> ShardExchange {
-        let driver = &mut self.drivers[shard.index()];
-        driver.note_reinstall();
-        match driver.resync_at(transport, shard, sub, ReSyncControl::poll(None)) {
-            Ok(resp) => {
-                let traffic = resp.traffic();
-                let mut actions: Vec<SyncAction> =
-                    content.held_dns(shard).into_iter().map(SyncAction::Delete).collect();
-                actions.extend(resp.actions);
-                ShardExchange {
-                    actions,
-                    cookie: resp.cookie,
-                    status: ShardStatus::Reinstalled,
-                    traffic,
-                }
-            }
-            Err(e) if e.is_transient() => ShardExchange::stale(),
-            Err(e) => ShardExchange::failed(e),
-        }
+        sync_shards(&self.map, &mut self.drivers, transport, request, cookie, content)
     }
 }
 
-/// Internal per-shard exchange result (before the cookie is merged back
-/// into the composite).
-struct ShardExchange {
-    actions: Vec<SyncAction>,
-    cookie: Option<Cookie>,
-    status: ShardStatus,
-    traffic: SyncTraffic,
-}
-
-impl ShardExchange {
-    fn stale() -> Self {
-        ShardExchange {
-            actions: Vec::new(),
-            cookie: None,
-            status: ShardStatus::Stale,
-            traffic: SyncTraffic::default(),
-        }
-    }
-
-    fn failed(e: SyncError) -> Self {
-        ShardExchange {
-            actions: Vec::new(),
-            cookie: None,
-            status: ShardStatus::Failed(e),
-            traffic: SyncTraffic::default(),
-        }
-    }
+/// One session step ([`SyncDriver::sync_session`]) for every shard of
+/// `map` that `request` overlaps, shard `s` on `drivers[s]`, each with
+/// its own slice of the sub-request and of the held `content`. The
+/// cookie each step ends with is merged back into `cookie`.
+///
+/// # Panics
+///
+/// Panics when `drivers` has no driver for an overlapped shard.
+pub fn sync_shards<C: Clock>(
+    map: &ShardMap,
+    drivers: &mut [SyncDriver<C>],
+    transport: &mut dyn SyncTransport,
+    request: &SearchRequest,
+    cookie: &mut CompositeCookie,
+    content: &dyn ShardContent,
+) -> Vec<ShardOutcome> {
+    map.split(request)
+        .into_iter()
+        .map(|(shard, sub)| {
+            let out = drivers[shard.index()].sync_session(
+                transport,
+                shard,
+                &sub,
+                cookie.get(shard),
+                content,
+            );
+            match out.cookie {
+                Some(c) => cookie.insert(shard, c),
+                None => {
+                    cookie.remove(shard);
+                }
+            }
+            out
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -937,7 +845,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_session_on_one_shard_reinstalls_only_that_shard() {
+    fn dead_session_on_one_shard_reconciles_only_that_shard() {
         let mut m = sharded();
         let mut coord = ShardCoordinator::new(m.map().clone());
         let req = subtree("o=xyz", "(dept=7)");
@@ -954,13 +862,102 @@ mod tests {
         let by_shard =
             |s: u16| outcomes.iter().find(|o| o.shard == ShardId::new(s)).unwrap();
         assert_eq!(by_shard(0).status, ShardStatus::Updated);
-        assert_eq!(by_shard(1).status, ShardStatus::Reinstalled);
-        // The reinstall replays shard 1's full slice.
+        // Divergence is unknown for a vanished session: reconcile first.
+        assert_eq!(by_shard(1).status, ShardStatus::Reconciled);
+        // Nothing is held locally, so reconciliation ships the full slice.
         assert_eq!(by_shard(1).actions.len(), 2);
-        assert_eq!(coord.stats().reinstalls, 1);
+        assert_eq!(coord.stats().reconciliations, 1);
+        assert_eq!(coord.stats().reinstalls, 0);
         // Both shards hold live sessions again; the next poll is clean.
         assert_eq!(cookie.len(), 2);
         let outcomes = coord.sync_filter(&mut m, &req, &mut cookie, &NoContent);
         assert!(outcomes.iter().all(|o| o.status == ShardStatus::Updated));
+    }
+
+    /// A sharded transport predating reconciliation: the shard-addressed
+    /// poll legs only, so the reconcile legs keep their failing defaults.
+    struct NoReconcile(ShardedMaster);
+
+    impl SyncTransport for NoReconcile {
+        fn resync(
+            &mut self,
+            request: &SearchRequest,
+            ctl: ReSyncControl,
+        ) -> Result<SyncResponse, SyncError> {
+            self.0.resync(request, ctl)
+        }
+        fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+            self.0.take_receiver(cookie)
+        }
+        fn abandon(&mut self, cookie: Cookie) {
+            self.0.abandon(cookie);
+        }
+        fn shard_count(&self) -> usize {
+            self.0.shard_count()
+        }
+        fn resync_at(
+            &mut self,
+            shard: ShardId,
+            request: &SearchRequest,
+            ctl: ReSyncControl,
+        ) -> Result<SyncResponse, SyncError> {
+            self.0.resync_at(shard, request, ctl)
+        }
+        fn abandon_at(&mut self, shard: ShardId, cookie: Cookie) {
+            self.0.abandon_at(shard, cookie);
+        }
+    }
+
+    /// A content view holding exactly `dns`, all on shard 1.
+    struct HeldOnShard1(Vec<Dn>);
+
+    impl ShardContent for HeldOnShard1 {
+        fn items(&self, _shard: ShardId) -> Vec<ReconcileItem> {
+            Vec::new()
+        }
+        fn resolve(&self, _shard: ShardId, _key: &str) -> Option<u32> {
+            None
+        }
+        fn dn_of(&self, _shard: ShardId, _id: u32) -> Option<Dn> {
+            None
+        }
+        fn held_dns(&self, shard: ShardId) -> Vec<Dn> {
+            if shard == ShardId::new(1) {
+                self.0.clone()
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
+    #[test]
+    fn dead_session_without_reconcile_legs_reinstalls_that_shard() {
+        let mut t = NoReconcile(sharded());
+        let mut coord = ShardCoordinator::new(t.0.map().clone());
+        let req = subtree("o=xyz", "(dept=7)");
+        t.0.apply(UpdateOp::Add(person("e1", "a", "7"))).unwrap();
+        t.0.apply(UpdateOp::Add(person("e2", "b", "7"))).unwrap();
+        let (_, mut cookie, _) = coord.install(&mut t, &req).unwrap();
+
+        let c1 = cookie.get(ShardId::new(1)).unwrap();
+        t.0.shard_mut(ShardId::new(1)).abandon(c1);
+        t.0.apply(UpdateOp::Add(person("e3", "b", "7"))).unwrap();
+
+        let held = HeldOnShard1(vec![dn("cn=e2,c=b,o=xyz")]);
+        let outcomes = coord.sync_filter(&mut t, &req, &mut cookie, &held);
+        let by_shard =
+            |s: u16| outcomes.iter().find(|o| o.shard == ShardId::new(s)).unwrap();
+        assert_eq!(by_shard(0).status, ShardStatus::Updated);
+        assert_eq!(by_shard(1).status, ShardStatus::Reinstalled);
+        // The held slice is deleted, then the fresh slice replayed.
+        let out = &by_shard(1).actions;
+        assert_eq!(out.len(), 3);
+        assert_eq!(out[0], SyncAction::Delete(dn("cn=e2,c=b,o=xyz")));
+        assert!(out[1..].iter().all(|a| matches!(a, SyncAction::Add(_))));
+        assert_eq!(by_shard(1).traffic.full_entries, 2);
+        assert_eq!(coord.stats().reconciliations, 0);
+        assert_eq!(coord.stats().reinstalls, 1);
+        assert_eq!(cookie.len(), 2);
+        assert_eq!(t.0.shard(ShardId::new(1)).session_count(), 1);
     }
 }

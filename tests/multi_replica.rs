@@ -4,6 +4,7 @@
 
 use fbdr::dit::{Modification, UpdateOp};
 use fbdr::prelude::*;
+use fbdr::resync::SyncDriver;
 
 fn person(cn: &str, c: &str, serial: &str, dept: &str) -> Entry {
     Entry::new(format!("cn={cn},c={c},o=xyz").parse().expect("valid dn"))
@@ -69,8 +70,8 @@ fn independent_replicas_converge_independently() {
     })
     .expect("apply");
 
-    let ta = a.sync(&mut m).expect("sync a");
-    let tb = b.sync(&mut m).expect("sync b");
+    let ta = a.sync_with(&mut m, &mut SyncDriver::default()).expect("sync a");
+    let tb = b.sync_with(&mut m, &mut SyncDriver::default()).expect("sync b");
     assert_eq!(ta.full_entries, 1); // p05 modified
     assert_eq!(tb.full_entries, 2); // p05 modified, p14 arrived
     assert_eq!(tb.dn_only, 0);
@@ -98,7 +99,7 @@ fn removing_one_replica_leaves_others_untouched() {
     assert_eq!(m.session_count(), 1);
 
     m.apply(UpdateOp::Add(person("new", "us", "100099", "2400"))).expect("apply");
-    let tb = b.sync(&mut m).expect("sync b");
+    let tb = b.sync_with(&mut m, &mut SyncDriver::default()).expect("sync b");
     assert_eq!(tb.full_entries, 1);
     assert!(b.try_answer(&root_q("(departmentNumber=2400)")).is_some());
 }
@@ -122,7 +123,7 @@ fn mixed_poll_and_persist_replicas() {
     let before = polling.try_answer(&root_q("(departmentNumber=2402)")).expect("hit").len();
     let after = persistent.try_answer(&root_q("(departmentNumber=2402)")).expect("hit").len();
     assert_eq!(after, before + 1);
-    polling.sync(&mut m).expect("sync");
+    polling.sync_with(&mut m, &mut SyncDriver::default()).expect("sync");
     let now = polling.try_answer(&root_q("(departmentNumber=2402)")).expect("hit").len();
     assert_eq!(now, after);
 }
